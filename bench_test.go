@@ -209,12 +209,12 @@ func BenchmarkSweepIndependent(b *testing.B) {
 
 // BenchmarkSweepBatched runs the identical sweep on the batch path:
 // one assembled system per (coolant, depth) geometry pooled in a
-// SystemCache, re-solved per VFS step with warm-started CG.
+// GeomCache, re-solved per VFS step with warm-started CG.
 func BenchmarkSweepBatched(b *testing.B) {
-	cache := thermal.NewSystemCache(64)
+	cache := core.NewGeomCache(64)
 	benchFreqSweepPath(b, func() *core.Planner {
 		p := core.NewPlanner()
-		p.Cache = cache
+		p.Geoms = cache
 		return p
 	})
 }
@@ -293,7 +293,7 @@ func benchSolvePrecond(b *testing.B, kind string) {
 			}
 			if kind == thermal.PrecondMG {
 				// Hierarchy setup is per-system and amortized by the
-				// SystemCache in production; exclude it here so the
+				// GeomCache in production; exclude it here so the
 				// pair isolates per-solve cost.
 				if _, err := sys.Multigrid(); err != nil {
 					b.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"waterimm/internal/material"
 	"waterimm/internal/power"
 	"waterimm/internal/report"
-	"waterimm/internal/thermal"
 )
 
 var (
@@ -62,7 +61,7 @@ func main() {
 	p.Flip = *flagFlip
 	// Batch path: pool assembled systems across the sweep's points and
 	// let each point's search warm-start from the session basis.
-	p.Cache = thermal.NewSystemCache(8)
+	p.Geoms = core.NewGeomCache(8)
 	plans, err := p.MaxFrequencySweep(chip, maxChips, material.Coolants())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "freqsweep:", err)

@@ -51,15 +51,13 @@ func TestGeomCacheSymbolicReuse(t *testing.T) {
 	}
 }
 
-// TestPerturbedSkipsSystemPool pins the eviction-pressure contract: a
-// perturbed one-shot session must never Acquire from or Release to
-// the system pool — its value-unique key could not hit, and pooling
-// it would evict the hot shared geometries.
+// TestPerturbedSkipsSystemPool pins the pooling contract: a perturbed
+// one-shot session must never take from or return to the nominal
+// system pool — its value-unique system could never be handed out
+// again, so pooling it would only hold memory.
 func TestPerturbedSkipsSystemPool(t *testing.T) {
-	pool := thermal.NewSystemCache(4)
 	g := NewGeomCache(8)
 	p := perturbedPlanner(g)
-	p.Cache = pool
 	s, err := p.NewSession(power.LowPower, 2, material.Water)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +66,7 @@ func TestPerturbedSkipsSystemPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	st := pool.Stats()
+	st := g.Stats().Pool
 	if st.Hits != 0 || st.Misses != 0 || st.Idle != 0 {
 		t.Fatalf("perturbed session touched the system pool: %+v", st)
 	}

@@ -34,12 +34,6 @@ type Planner struct {
 	// (and less conservative) than the worst-case default; an
 	// ablation knob for the methodology discussion in Section 4.3.
 	ConvergeLeakage bool
-	// Cache, when non-nil, pools assembled thermal systems across
-	// sessions (see thermal.SystemCache), so repeated solves of the
-	// same geometry — sweep cells, repeated service requests — skip
-	// matrix assembly. A nil cache still reuses the assembly within
-	// each frequency search; it just rebuilds per search.
-	Cache *thermal.SystemCache
 	// ColdStart disables cross-step system reuse and warm-started CG,
 	// re-assembling the model for every solve — the pre-batch
 	// baseline, kept for benchmarks and equivalence tests.
@@ -61,17 +55,21 @@ type Planner struct {
 	// exactly as consistent as nominal ones.
 	DynScale  float64
 	StatScale float64
-	// Geoms, when non-nil, shares per-geometry structural artifacts
-	// across sessions (see GeomCache): the symbolic assembly skeleton
-	// and, for perturbed sessions, the reference multigrid hierarchy.
+	// Geoms, when non-nil, shares per-geometry artifacts across
+	// sessions (see GeomCache): pooled assembled systems, so repeated
+	// solves of one geometry — sweep cells, repeated service requests —
+	// skip matrix assembly; the symbolic assembly skeleton; and, for
+	// perturbed sessions, the nominal reference hierarchy and basis. A
+	// nil cache still reuses the assembly within each frequency
+	// search; it just rebuilds per search.
 	Geoms *GeomCache
 	// Perturbed marks this planner as solving a one-shot
 	// parameter-perturbed sample (a Monte-Carlo cell). Perturbed
-	// sessions bypass the system pool — their per-sample keys would
-	// only evict the hot shared geometries — and borrow the
-	// geometry's nominal reference through Geoms (stale hierarchy,
-	// basis warm starts) instead of building everything themselves.
-	// Seed the reference with EnsureGeomRef on a nominal planner.
+	// sessions never pool their systems — their per-sample values
+	// could never be handed out again — and borrow the geometry's
+	// nominal reference through Geoms (stale hierarchy, basis warm
+	// starts) instead of building everything themselves. Seed the
+	// reference with EnsureGeomRef on a nominal planner.
 	Perturbed bool
 	// RefreshFactor tunes the stale-preconditioner iteration guard: a
 	// borrowed hierarchy is value-refreshed when a solve exceeds
@@ -147,7 +145,7 @@ func (p *Planner) Solve(spec StackSpec) (*thermal.Result, power.Step, error) {
 // threaded into the conjugate-gradient solver, so a cancelled request
 // (service timeout, client disconnect) abandons the solve promptly.
 // One-shot solves pay one assembly each; callers solving the same
-// geometry repeatedly should hold a Session (or set Cache) instead.
+// geometry repeatedly should hold a Session (or set Geoms) instead.
 func (p *Planner) SolveCtx(ctx context.Context, spec StackSpec) (*thermal.Result, power.Step, error) {
 	s, err := p.NewSession(spec.Chip, spec.Chips, spec.Coolant)
 	if err != nil {

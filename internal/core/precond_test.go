@@ -88,7 +88,7 @@ func TestAutoPrecondObeysThreshold(t *testing.T) {
 func TestMultigridHierarchyRidesCache(t *testing.T) {
 	p := fastPlanner()
 	p.Precond = thermal.PrecondMG
-	p.Cache = thermal.NewSystemCache(4)
+	p.Geoms = NewGeomCache(4)
 	ctx := context.Background()
 
 	s1, err := p.NewSession(power.LowPower, 2, material.Water)

@@ -23,11 +23,12 @@ import (
 // planner's binary search costs one assembly instead of one per
 // solve, and warm starts cut the CG iteration count on top.
 //
-// Sessions acquire their assembled system from the planner's
-// SystemCache when one is configured, so concurrent sweep cells that
-// share a geometry (same stack depth and coolant, different
-// thresholds) also share assembly work across jobs. A session is not
-// safe for concurrent use; Close returns the system to the cache.
+// Sessions acquire their assembled system through the planner's
+// GeomCache when one is configured, so sweep cells that share a
+// geometry (same stack depth and coolant, different thresholds) also
+// share assembly work across jobs — concurrent ones included. A
+// session is not safe for concurrent use; Close returns the system to
+// the cache.
 type Session struct {
 	p       *Planner
 	chip    power.Model
@@ -84,7 +85,7 @@ type sessionBasis struct {
 	base, dyn, stat []float64
 }
 
-// sessionKey is the assembly-cache signature: everything the
+// sessionKey is the pooled-system signature: everything the
 // conductance matrix depends on. Power assignment (VFS step, leakage
 // temperature, flip layout) deliberately stays out — those only move
 // the right-hand side.
@@ -118,7 +119,7 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 		s.flipped = base.Rotate180()
 	}
 	s.gkey = p.geomKey(chip, chips, coolant)
-	build := func() (*thermal.System, error) {
+	model := func() (*thermal.Model, error) {
 		dies := make([]*floorplan.Floorplan, chips)
 		for i := range dies {
 			if p.Flip && i%2 == 1 {
@@ -127,26 +128,16 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 				dies[i] = base
 			}
 		}
-		model, err := stack.Build(stack.Config{Params: p.Params, Coolant: coolant, Dies: dies})
-		if err != nil {
-			return nil, err
-		}
-		// Same-topology models reuse the geometry's cached sparsity
-		// pattern; a nil Geoms assembles fully.
-		return p.Geoms.AssembleModel(s.gkey, model)
+		return stack.Build(stack.Config{Params: p.Params, Coolant: coolant, Dies: dies})
 	}
-	var sys *thermal.System
 	if p.Perturbed {
-		// One-shot perturbed sample: skip the system pool entirely.
-		// Its value-unique key could never hit, and Release-ing it
-		// would evict the hot shared geometries (see Close). Borrow
-		// the geometry's nominal reference instead — basis warm
-		// starts plus, for MG-sized grids, the stale preconditioner.
+		// One-shot perturbed sample: its value-unique system is never
+		// pooled (see Close). Borrow the geometry's nominal reference
+		// instead — basis warm starts plus, for MG-sized grids, the
+		// stale preconditioner.
 		s.ref = p.Geoms.borrowRef(s.gkey)
-		sys, err = build()
-	} else {
-		sys, err = p.Cache.Acquire(s.key, build)
 	}
+	sys, err := p.Geoms.acquire(s.gkey, s.key, !p.Perturbed, model)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +208,8 @@ func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
 
 // Close returns the assembled system to the planner's cache — except
 // for perturbed one-shot sessions, whose value-unique systems are
-// dropped: pooling them would evict the hot shared geometries from
-// the LRU without any chance of a future hit.
+// dropped: pooling them would only hold memory without any chance of
+// a future hit.
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -226,7 +217,7 @@ func (s *Session) Close() {
 	s.closed = true
 	if s.sys != nil {
 		if !s.p.Perturbed {
-			s.p.Cache.Release(s.key, s.sys)
+			s.p.Geoms.release(s.gkey, s.key, s.sys)
 		}
 		s.sys, s.model = nil, nil
 	}

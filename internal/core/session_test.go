@@ -7,7 +7,6 @@ import (
 
 	"waterimm/internal/material"
 	"waterimm/internal/power"
-	"waterimm/internal/thermal"
 )
 
 // TestWarmStartMatchesColdStart is the equivalence guarantee behind
@@ -32,7 +31,7 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 	for _, tc := range cases {
 		warm := fastPlanner()
 		warm.Flip = tc.flip
-		warm.Cache = thermal.NewSystemCache(4)
+		warm.Geoms = NewGeomCache(4)
 		cold := fastPlanner()
 		cold.Flip = tc.flip
 		cold.ColdStart = true
@@ -76,7 +75,7 @@ func TestLeakageFixedPointMatchesColdStart(t *testing.T) {
 	spec := StackSpec{Chip: power.LowPower, Chips: 4, Coolant: material.Water, FHz: 1.5e9}
 	warm := fastPlanner()
 	warm.ConvergeLeakage = true
-	warm.Cache = thermal.NewSystemCache(4)
+	warm.Geoms = NewGeomCache(4)
 	cold := fastPlanner()
 	cold.ConvergeLeakage = true
 	cold.ColdStart = true
@@ -98,13 +97,13 @@ func TestLeakageFixedPointMatchesColdStart(t *testing.T) {
 // assemble the conductance system once.
 func TestAssemblyCacheReused(t *testing.T) {
 	p := fastPlanner()
-	p.Cache = thermal.NewSystemCache(4)
+	p.Geoms = NewGeomCache(4)
 	for i := 0; i < 2; i++ {
 		if _, err := p.MaxFrequency(power.LowPower, 2, material.Water); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := p.Cache.Stats()
+	st := p.Geoms.Stats().Pool
 	if st.Misses != 1 || st.Hits < 1 {
 		t.Fatalf("cache stats after two identical searches: %+v", st)
 	}
@@ -112,7 +111,7 @@ func TestAssemblyCacheReused(t *testing.T) {
 	if _, err := p.MaxFrequency(power.LowPower, 3, material.Water); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Cache.Stats(); st.Misses != 2 {
+	if st := p.Geoms.Stats().Pool; st.Misses != 2 {
 		t.Fatalf("cache stats after a third, different search: %+v", st)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"waterimm/internal/material"
@@ -11,41 +12,56 @@ import (
 	"waterimm/internal/thermal"
 )
 
-// GeomCache shares per-geometry structural artifacts across sessions
-// and jobs: the symbolic assembly skeleton (thermal.Structure) and a
-// reference multigrid hierarchy for stale-preconditioner reuse. It is
-// the structural complement of thermal.SystemCache — where the system
-// pool hands out whole assembled systems under *value* identity (a
-// Monte-Carlo run's perturbed samples all miss it), this cache is
-// keyed by *topology* alone, so every perturbed sample of a geometry
-// hits it:
+// GeomCache is the one per-geometry cache: everything a session can
+// reuse across sessions and jobs for a stack topology lives in one
+// entry, keyed by geomKey (chip, depth, coolant, grid — no parameter
+// values):
 //
-//   - value-only reassembly through the cached Structure skips the
-//     symbolic pattern search (assembly is comparable in cost to a
-//     full CG solve);
-//   - perturbed sessions borrow the geometry's nominal reference
-//     hierarchy as a stale-but-SPD CG preconditioner instead of paying
-//     a full multigrid build per sample, refreshing its values only
-//     when the iteration guard shows the perturbation drifted too far;
-//   - perturbed sessions warm-start their superposition-basis solves
-//     from the nominal basis fields, which is where a Monte-Carlo cell
-//     spends nearly all of its CG iterations — for samples that only
-//     move the right-hand side (ambient draws), the guesses are exact
-//     up to solver tolerance and the solves collapse to verification.
+//   - the symbolic assembly skeleton (thermal.Structure): value-only
+//     reassembly through it skips the symbolic pattern search, so every
+//     same-topology session after the first — perturbed Monte-Carlo
+//     samples included — pays only the O(nnz) value fill (assembly is
+//     comparable in cost to a full CG solve);
+//   - idle assembled systems of nominal sessions, each tagged with its
+//     full sessionKey and handed out only to a session with identical
+//     values, for exclusive use until Close returns it. A frequency
+//     search, a sweep cell per threshold and a repeated service request
+//     then skip assembly and multigrid setup entirely;
+//   - one in-flight full assembly: while a geometry's first assembly
+//     runs, every other caller of the geometry waits for it and then
+//     replays the tape (a bit-identical CSR) instead of assembling
+//     twice;
+//   - the nominal reference (geomRef) for perturbed sessions: they
+//     borrow its multigrid hierarchy as a stale-but-SPD CG
+//     preconditioner instead of paying a full multigrid build per
+//     sample, refreshing its values only when the iteration guard shows
+//     the perturbation drifted too far, and warm-start their
+//     superposition-basis solves from its basis fields, which is where
+//     a Monte-Carlo cell spends nearly all of its CG iterations.
 //
-// The reference is seeded deterministically from nominal parameter
-// values by EnsureGeomRef, never from whichever perturbed sample
-// happens to arrive first, so Monte-Carlo statistics stay bitwise
-// reproducible under concurrent scheduling.
+// Perturbed sessions assemble through the entry but never pool: their
+// value-unique systems could never be handed out again. The reference
+// is seeded deterministically from nominal parameter values by
+// EnsureGeomRef, never from whichever perturbed sample happens to
+// arrive first, so Monte-Carlo statistics stay bitwise reproducible
+// under concurrent scheduling.
+//
+// The geometry LRU is the only bound: an evicted geometry drops its
+// tape, reference and idle systems together. Idle systems per entry
+// never outnumber the geometry's peak count of concurrent sessions,
+// because a session that finds no idle system of its own values
+// displaces a stale one.
 //
 // Safe for concurrent use. A nil *GeomCache is valid and shares
-// nothing — every caller falls back to the full per-session paths.
+// nothing — every session assembles fully and drops its system on
+// Close.
 type GeomCache struct {
 	mu    sync.Mutex
 	cap   int
 	seq   uint64
 	geoms map[string]*geomEntry
 
+	pool                            PoolStats
 	symbolicHits, symbolicMisses    uint64
 	precondReused, precondRefreshed uint64
 }
@@ -54,10 +70,22 @@ type geomEntry struct {
 	seq       uint64
 	structure *thermal.Structure
 	ref       *geomRef
+	// idle holds the nominal systems no session currently owns.
+	idle []idleSystem
+	// assembling is closed when the geometry's in-flight full assembly
+	// finishes; nil when none runs.
+	assembling chan struct{}
 	// building serializes concurrent EnsureGeomRef calls: the first
 	// caller builds the nominal reference while later ones block on the
 	// channel instead of duplicating the work.
 	building chan struct{}
+}
+
+// idleSystem is a pooled system and the sessionKey it was assembled
+// under.
+type idleSystem struct {
+	key string
+	sys *thermal.System
 }
 
 // geomRef is a geometry's shared nominal reference: the artifacts a
@@ -85,9 +113,9 @@ type geomRef struct {
 	ambientC float64
 }
 
-// NewGeomCache returns a cache holding structural artifacts for at
-// most capacity geometries (default 32 when capacity <= 0), evicting
-// least-recently-used entries beyond it.
+// NewGeomCache returns a cache holding at most capacity geometries
+// (default 32 when capacity <= 0), evicting least-recently-used
+// entries beyond it.
 func NewGeomCache(capacity int) *GeomCache {
 	if capacity <= 0 {
 		capacity = 32
@@ -125,6 +153,9 @@ func (g *GeomCache) entryLocked(key string) *geomEntry {
 			if first {
 				break
 			}
+			n := len(g.geoms[oldKey].idle)
+			g.pool.Idle -= n
+			g.pool.Evictions += uint64(n)
 			delete(g.geoms, oldKey)
 		}
 	}
@@ -133,22 +164,68 @@ func (g *GeomCache) entryLocked(key string) *geomEntry {
 	return e
 }
 
-// AssembleModel assembles the model through the geometry's cached
-// structure when one exists (the symbolic fast path), falling back to
-// — and seeding the cache from — a full assembly otherwise. A nil
+// acquire returns an assembled system for the geometry gkey, owned
+// exclusively by the caller. A nominal caller first takes an idle
+// system assembled under the same sessionKey; any other caller — and a
+// nominal one that finds none — assembles from model(): by tape replay
+// once the geometry has a structure, otherwise by a full assembly that
+// seeds it. Concurrent callers of a geometry without a structure wait
+// for the one full assembly in flight and then replay its tape; if that
+// build failed or left no tape, they assemble fully themselves. A nil
 // cache always assembles fully.
-func (g *GeomCache) AssembleModel(key string, m *thermal.Model) (*thermal.System, error) {
+func (g *GeomCache) acquire(gkey, key string, nominal bool, model func() (*thermal.Model, error)) (*thermal.System, error) {
 	if g == nil {
+		m, err := model()
+		if err != nil {
+			return nil, err
+		}
 		return thermal.Assemble(m)
 	}
 	g.mu.Lock()
-	st := g.entryLocked(key).structure
+	e := g.entryLocked(gkey)
+	if e.structure == nil && e.assembling != nil {
+		ch := e.assembling
+		g.mu.Unlock()
+		<-ch
+		g.mu.Lock()
+		e = g.entryLocked(gkey)
+	}
+	if nominal {
+		if sys := g.takeIdleLocked(e, key); sys != nil {
+			g.mu.Unlock()
+			return sys, nil
+		}
+	}
+	st := e.structure
+	if st == nil && e.assembling == nil {
+		// This caller runs the geometry's full assembly; later callers
+		// wait for its tape. The deferred close also runs on a panic,
+		// so a waiter can never block forever.
+		ch := make(chan struct{})
+		e.assembling = ch
+		defer func() {
+			g.mu.Lock()
+			if e.assembling == ch {
+				e.assembling = nil
+			}
+			g.mu.Unlock()
+			close(ch)
+		}()
+	}
 	g.mu.Unlock()
+
+	m, err := model()
+	if err != nil {
+		return nil, err
+	}
 	if st != nil {
 		sys, err := st.Assemble(m)
 		if err == nil {
 			g.mu.Lock()
 			g.symbolicHits++
+			if nominal {
+				g.pool.Hits++
+			}
 			g.mu.Unlock()
 			return sys, nil
 		}
@@ -161,6 +238,9 @@ func (g *GeomCache) AssembleModel(key string, m *thermal.Model) (*thermal.System
 	}
 	g.mu.Lock()
 	g.symbolicMisses++
+	if nominal {
+		g.pool.Misses++
+	}
 	g.mu.Unlock()
 	sys, err := thermal.Assemble(m)
 	if err != nil {
@@ -168,10 +248,51 @@ func (g *GeomCache) AssembleModel(key string, m *thermal.Model) (*thermal.System
 	}
 	if ns, serr := sys.Structure(); serr == nil {
 		g.mu.Lock()
-		g.entryLocked(key).structure = ns
+		g.entryLocked(gkey).structure = ns
 		g.mu.Unlock()
 	}
 	return sys, nil
+}
+
+// takeIdleLocked pops the entry's idle system assembled under key,
+// counting a pool hit. When none matches it drops the oldest idle
+// system of other values instead, since the caller is about to bring
+// its own: that keeps the entry's idle systems within its peak count of
+// concurrent sessions.
+func (g *GeomCache) takeIdleLocked(e *geomEntry, key string) *thermal.System {
+	for i := len(e.idle) - 1; i >= 0; i-- {
+		if e.idle[i].key == key {
+			sys := e.idle[i].sys
+			e.idle = slices.Delete(e.idle, i, i+1)
+			g.pool.Idle--
+			g.pool.Hits++
+			return sys
+		}
+	}
+	if len(e.idle) > 0 {
+		e.idle = slices.Delete(e.idle, 0, 1)
+		g.pool.Idle--
+		g.pool.Evictions++
+	}
+	return nil
+}
+
+// release returns a nominal session's system to its geometry's idle
+// pool. A system whose geometry was evicted while it was out is
+// dropped (and counted as evicted with it). Nil-safe.
+func (g *GeomCache) release(gkey, key string, sys *thermal.System) {
+	if g == nil || sys == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	e := g.geoms[gkey]
+	if e == nil {
+		g.pool.Evictions++
+		return
+	}
+	e.idle = append(e.idle, idleSystem{key: key, sys: sys})
+	g.pool.Idle++
 }
 
 // borrowRef returns the geometry's nominal reference, or nil when
@@ -296,10 +417,27 @@ func (g *GeomCache) noteRefreshed() {
 	g.mu.Unlock()
 }
 
+// PoolStats counts the nominal system pool across all geometries.
+type PoolStats struct {
+	// Idle is the number of systems currently pooled.
+	Idle int `json:"idle"`
+	// Hits counts nominal acquisitions that ran no full symbolic
+	// assembly (an idle system, or a tape replay — also after waiting
+	// for the geometry's in-flight build); Misses counts nominal full
+	// assemblies. Evictions counts idle systems dropped with an evicted
+	// geometry or displaced by a session of other values.
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+}
+
 // GeomStats is a point-in-time snapshot of the cache's counters.
 type GeomStats struct {
-	// Geometries is the number of cached structural entries.
+	// Geometries is the number of cached geometry entries.
 	Geometries int `json:"geometries"`
+	// Pool reports the nominal sessions' system pool; perturbed
+	// sessions count only in the symbolic counters below.
+	Pool PoolStats `json:"pool"`
 	// SymbolicHits counts assemblies that reused a cached sparsity
 	// pattern (value-only fill); SymbolicMisses counts full symbolic
 	// assemblies, including the one that seeds each geometry.
@@ -322,6 +460,7 @@ func (g *GeomCache) Stats() GeomStats {
 	defer g.mu.Unlock()
 	return GeomStats{
 		Geometries:       len(g.geoms),
+		Pool:             g.pool,
 		SymbolicHits:     g.symbolicHits,
 		SymbolicMisses:   g.symbolicMisses,
 		PrecondReused:    g.precondReused,

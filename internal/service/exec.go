@@ -15,9 +15,9 @@ import (
 
 // execute dispatches a validated, normalized request to its solver.
 // The context is threaded into the solver loops, so cancelling it
-// abandons the simulation promptly. Sweep and montecarlo requests
-// never reach here; the engine orchestrates them in runSweep and
-// runMonteCarlo.
+// abandons the simulation promptly. Sweep, montecarlo, audit and
+// cosimstream requests never reach here; the engine orchestrates them
+// in runSweep, runMonteCarlo, runAudit and runStream.
 func (e *Engine) execute(ctx context.Context, req api.Request) (any, error) {
 	switch r := req.(type) {
 	case *api.PlanRequest:
@@ -46,13 +46,12 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	// built model carries the (possibly margin-adjusted) boiling
 	// limits; 0 means the literature value.
 	p.Params.CHFScale = e.cfg.CHFScale
-	// The engine-wide assembly cache: concurrent jobs over the same
-	// geometry (sweep cells differing only in threshold, repeated
-	// requests) share the assembled conductance system.
-	p.Cache = e.sysCache
-	// The structural cache rides alongside: perturbed Monte-Carlo
-	// cells reuse the geometry's sparsity skeleton and borrow its
-	// reference multigrid hierarchy (nil when disabled by config).
+	// The engine-wide geometry cache: jobs over the same geometry
+	// (sweep cells differing only in threshold, repeated requests)
+	// share the assembled conductance system, and concurrent ones
+	// coalesce on a single assembly; perturbed Monte-Carlo cells reuse
+	// the geometry's sparsity skeleton and borrow its reference
+	// multigrid hierarchy (nil when disabled by config).
 	p.Geoms = e.geoms
 	// Every CG solve reports its iteration count and preconditioner
 	// kind to /v1/metrics (observeSolve is lock-protected, so the
@@ -186,7 +185,7 @@ func (e *Engine) resolveTwoPhase(ctx context.Context, p *core.Planner, chip powe
 // unperturbed values, default leakage policy) builds the hierarchy and
 // superposition basis exactly once per geometry; concurrent cells
 // coalesce on the build. The nominal planner shares the engine's
-// system pool, so its assembled system is the same one nominal plan
+// geometry cache, so its assembled system is the same one nominal plan
 // requests hit.
 func (e *Engine) ensureGeomRef(ctx context.Context, r *api.PlanRequest, chip power.Model) error {
 	coolant, err := material.ByName(r.Coolant)
@@ -200,7 +199,6 @@ func (e *Engine) ensureGeomRef(ctx context.Context, r *api.PlanRequest, chip pow
 	// reference must live under the same CHF scale, or the pooled
 	// system and the cells' structural key would diverge.
 	p.Params.CHFScale = e.cfg.CHFScale
-	p.Cache = e.sysCache
 	p.Geoms = e.geoms
 	p.OnSolve = e.metrics.observeSolve
 	return p.EnsureGeomRef(ctx, chip, r.Chips, coolant)
@@ -211,17 +209,16 @@ func (e *Engine) ensureGeomRef(ctx context.Context, r *api.PlanRequest, chip pow
 // conductivities, film coefficients and chip power, plus an absolute
 // inlet temperature. The geometry scales change the planner's stack
 // parameters (and coolant), so a perturbed cell gets its own
-// assembly-cache identity; the power scales ride the planner and stay
-// exact under basis superposition.
+// value identity; the power scales ride the planner and stay exact
+// under basis superposition.
 func applyPerturb(p *core.Planner, coolant *material.Coolant, pb *api.Perturb) {
 	if pb == nil {
 		return
 	}
 	// A perturbed sample is a one-shot system: its parameter values
-	// are unique to this draw, so pooling it would only evict the
-	// reusable nominal geometries from the SystemCache. Perturbed
-	// sessions assemble outside the pool (via the structural cache's
-	// value-only path) and drop their system on Close.
+	// are unique to this draw, so pooling it could never pay off.
+	// Perturbed sessions assemble through the geometry cache's
+	// value-only path and drop their system on Close.
 	p.Perturbed = true
 	scale := func(dst *float64, s float64) {
 		if s > 0 {

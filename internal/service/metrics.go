@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"waterimm/internal/core"
 	"waterimm/internal/thermal"
 )
 
@@ -296,9 +297,13 @@ type Snapshot struct {
 
 	Workers int `json:"workers"`
 
-	// Assembly reports the shared thermal-system pool (hits mean a
-	// planner job skipped matrix assembly entirely).
-	Assembly thermal.CacheStats `json:"assembly"`
+	// Assembly reports the geometry cache's pool of nominal systems:
+	// a hit is a nominal session that ran no full symbolic assembly
+	// (an idle pooled system, or a tape replay — also after waiting
+	// for a concurrent session's build), a miss is a full assembly,
+	// and evictions count idle systems dropped. Perturbed sessions
+	// count only in the symbolic counters below.
+	Assembly core.PoolStats `json:"assembly"`
 
 	// Structural-reuse counters (the Monte-Carlo fast path; all zero
 	// when -no-structural-reuse). GeomEntries gauges distinct cached
@@ -317,8 +322,9 @@ type Snapshot struct {
 	PrecondReused          uint64 `json:"precond_reused"`
 	PrecondRefreshed       uint64 `json:"precond_refreshed"`
 
-	// LatencyS maps stage name ("queue", "run.plan", "run.cosim",
-	// "run.sweep") to its histogram.
+	// LatencyS maps stage name ("queue", and "run.<kind>" for every
+	// request kind: plan, cosim, sweep, montecarlo, audit,
+	// cosimstream) to its histogram.
 	LatencyS map[string]*Histogram `json:"latency_s"`
 
 	// Solver maps preconditioner kind ("jacobi", "mg") to aggregate

@@ -14,7 +14,6 @@ import (
 	"waterimm/internal/faultinject"
 	"waterimm/internal/mc"
 	"waterimm/internal/rcache"
-	"waterimm/internal/thermal"
 )
 
 // Config sizes the engine. The zero value gets sensible defaults.
@@ -32,11 +31,6 @@ type Config struct {
 	// for status/result lookups before the oldest are forgotten.
 	// Default 4096.
 	MaxFinishedJobs int
-	// AssemblyCacheEntries bounds the pool of assembled thermal
-	// systems shared across planner jobs (thermal.SystemCache), so
-	// jobs that revisit a geometry — sweep cells, repeated plan
-	// requests — skip matrix assembly. Default 64.
-	AssemblyCacheEntries int
 	// JobDeadline is the wall-clock budget of every job, covering
 	// queue wait and execution: the job's context expires when it
 	// runs out, the solver abandons the iteration at its next poll
@@ -58,9 +52,9 @@ type Config struct {
 	// used disk entries so finished work survives a restart. nil
 	// keeps the cache memory-only (the default).
 	DiskCache *rcache.Store
-	// DisableStructuralReuse turns off the per-geometry structural
-	// cache (symbolic assembly reuse and stale-preconditioner
-	// borrowing for perturbed Monte-Carlo cells), so every sample pays
+	// DisableStructuralReuse turns off the per-geometry cache (pooled
+	// nominal systems, symbolic assembly reuse and stale-preconditioner
+	// borrowing for perturbed Monte-Carlo cells), so every job pays
 	// full assembly and its own multigrid build. Exists for A/B
 	// benchmarking against the pre-structural path; production keeps
 	// it off.
@@ -85,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFinishedJobs <= 0 {
 		c.MaxFinishedJobs = 4096
-	}
-	if c.AssemblyCacheEntries <= 0 {
-		c.AssemblyCacheEntries = 64
 	}
 	return c
 }
@@ -179,8 +170,10 @@ type JobInfo struct {
 	// ErrorCode classifies a failure with a stable machine code (the
 	// Code* constants); empty for done jobs.
 	ErrorCode string `json:"error_code,omitempty"`
-	// Progress is the per-cell completion state of a sweep or
-	// montecarlo job, updated live while it runs; nil for other kinds.
+	// Progress is the per-cell completion state of a sweep,
+	// montecarlo or audit job, or the solved-interval count of a
+	// cosimstream job, updated live while it runs; nil for other
+	// kinds.
 	Progress *api.SweepProgress `json:"progress,omitempty"`
 	// ResumedFromSeq is the interval a cosimstream job resumed from
 	// after a restart recovered its disk checkpoint; 0 for a cold
@@ -218,8 +211,8 @@ type job struct {
 	ctx    context.Context
 	done   chan struct{}
 
-	// progress is set for sweep and montecarlo jobs, written under
-	// Engine.mu as cells finish.
+	// progress is set for sweep, montecarlo, audit and cosimstream
+	// jobs, written under Engine.mu as cells (or intervals) finish.
 	progress *api.SweepProgress
 
 	// stream is the live interval feed of a cosimstream job; nil for
@@ -269,14 +262,11 @@ type Engine struct {
 	baseCtx  context.Context
 	abortAll context.CancelFunc
 
-	// sysCache pools assembled thermal systems across planner jobs;
-	// it has its own synchronization.
-	sysCache *thermal.SystemCache
-
-	// geoms shares per-geometry structural artifacts (sparsity
-	// skeletons, reference multigrid hierarchies) across jobs — the
-	// Monte-Carlo fast path. nil when Config.DisableStructuralReuse
-	// is set; it has its own synchronization.
+	// geoms shares per-geometry artifacts across jobs: pooled nominal
+	// systems, sparsity skeletons and the nominal references the
+	// Monte-Carlo fast path borrows. nil when
+	// Config.DisableStructuralReuse is set; it has its own
+	// synchronization.
 	geoms *core.GeomCache
 
 	// disk is the persistent result tier (nil = memory only); it has
@@ -299,7 +289,6 @@ func New(cfg Config) *Engine {
 		queue:    make(chan *job, cfg.QueueDepth),
 		baseCtx:  ctx,
 		abortAll: cancel,
-		sysCache: thermal.NewSystemCache(cfg.AssemblyCacheEntries),
 		disk:     cfg.DiskCache,
 		metrics:  newMetrics(),
 	}
@@ -993,8 +982,8 @@ func (e *Engine) Metrics() Snapshot {
 	s.Workers = e.cfg.Workers
 	s.RetryAfterHintS = e.retryAfterLocked().Seconds()
 	e.mu.Unlock()
-	s.Assembly = e.sysCache.Stats()
 	gs := e.geoms.Stats() // nil-safe: zeros when structural reuse is disabled
+	s.Assembly = gs.Pool
 	s.GeomEntries = gs.Geometries
 	s.AssemblySymbolicHits = gs.SymbolicHits
 	s.AssemblySymbolicMisses = gs.SymbolicMisses

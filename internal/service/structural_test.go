@@ -130,12 +130,12 @@ func TestMonteCarloRunToRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestPerturbedCellsSpareSystemPool is the eviction-pressure
-// regression: a montecarlo run's one-shot perturbed systems must not
-// cycle through the (deliberately tiny) system pool — the nominal
-// geometry a concurrent plan workload relies on stays resident.
+// TestPerturbedCellsSpareSystemPool is the pooling regression: a
+// montecarlo run's one-shot perturbed systems must not cycle through
+// the system pool — the nominal system a concurrent plan workload
+// relies on stays resident, and no perturbed system is left idle.
 func TestPerturbedCellsSpareSystemPool(t *testing.T) {
-	e := New(Config{AssemblyCacheEntries: 1})
+	e := New(Config{})
 	defer e.Close()
 
 	// Seed the pool with the nominal geometry.
@@ -147,7 +147,7 @@ func TestPerturbedCellsSpareSystemPool(t *testing.T) {
 	waitDone(t, e, in.ID)
 	before := e.Metrics().Assembly
 
-	// 24 perturbed sample cells against a pool of capacity 1.
+	// 24 perturbed sample cells over the same geometry.
 	mcIn, err := e.Submit(mcServiceRequest(8))
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +164,10 @@ func TestPerturbedCellsSpareSystemPool(t *testing.T) {
 	if after.Misses != before.Misses {
 		t.Errorf("perturbed cells acquired from the system pool: misses %d -> %d",
 			before.Misses, after.Misses)
+	}
+	if after.Idle != before.Idle {
+		t.Errorf("perturbed cells left systems in the pool: idle %d -> %d",
+			before.Idle, after.Idle)
 	}
 
 	// The nominal geometry must still be resident: a same-geometry,

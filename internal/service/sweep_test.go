@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -170,27 +171,33 @@ func TestSweepDrain(t *testing.T) {
 
 // TestSweepMetrics: sweeps report their own latency stage and feed
 // the assembly-cache stats (cells share geometry across thresholds).
+// The cells run concurrently at every worker count above one, so the
+// geometry's single full assembly must hold however they interleave.
 func TestSweepMetrics(t *testing.T) {
-	e := New(Config{})
-	defer e.Close()
-	in, err := e.Submit(&api.SweepRequest{
-		Chips:       []string{"lp"},
-		Depths:      []int{2},
-		Coolants:    []string{"water"},
-		ThresholdsC: []float64{70, 80, 90},
-		GridNX:      8, GridNY: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, e, in.ID)
-	m := e.Metrics()
-	if m.LatencyS["run.sweep"] == nil || m.LatencyS["run.sweep"].Count != 1 {
-		t.Fatalf("sweep latency histogram: %+v", m.LatencyS["run.sweep"])
-	}
-	// Three thresholds over one geometry: the second and third cells
-	// must reuse the assembled system.
-	if m.Assembly.Hits < 2 {
-		t.Fatalf("assembly stats: %+v", m.Assembly)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(Config{Workers: workers})
+			defer e.Close()
+			in, err := e.Submit(&api.SweepRequest{
+				Chips:       []string{"lp"},
+				Depths:      []int{2},
+				Coolants:    []string{"water"},
+				ThresholdsC: []float64{70, 80, 90},
+				GridNX:      8, GridNY: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, e, in.ID)
+			m := e.Metrics()
+			if m.LatencyS["run.sweep"] == nil || m.LatencyS["run.sweep"].Count != 1 {
+				t.Fatalf("sweep latency histogram: %+v", m.LatencyS["run.sweep"])
+			}
+			// Three thresholds over one geometry: one full assembly,
+			// and the second and third cells reuse it.
+			if m.Assembly.Hits < 2 || m.Assembly.Misses != 1 {
+				t.Fatalf("assembly stats: %+v", m.Assembly)
+			}
+		})
 	}
 }

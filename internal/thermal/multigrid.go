@@ -36,10 +36,10 @@ import (
 // and preconditioned CG theory applies unchanged.
 //
 // A Multigrid is built once per assembled System and cached on it, so
-// pooled systems in a SystemCache amortize the setup across every
-// warm solve. Apply reuses per-level work buffers and is therefore
-// NOT safe for concurrent use — which matches the System contract
-// (exclusive ownership between Acquire and Release). Borrow returns a
+// pooled systems amortize the setup across every warm solve. Apply
+// reuses per-level work buffers and is therefore NOT safe for
+// concurrent use — which matches the System contract (one owner at a
+// time, handed from session to session by the pool). Borrow returns a
 // buffer-private view for a second owner; RefreshedCopy rebuilds the
 // values under the same structure for a perturbed sibling system.
 //
@@ -135,7 +135,7 @@ const mgDenseCap = 8192
 // Multigrid returns the system's cached V-cycle preconditioner,
 // building the hierarchy on first use. The hierarchy depends only on
 // the conductance matrix, so it stays valid across RefreshQ /
-// UpdatePower and rides along with pooled systems in a SystemCache.
+// UpdatePower and rides along with pooled systems.
 func (s *System) Multigrid() (*Multigrid, error) {
 	if s.mg != nil {
 		return s.mg, nil
